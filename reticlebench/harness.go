@@ -55,12 +55,18 @@ type runner struct {
 	// deterministic fields, in request order, so two runs of the same
 	// request sequence can be compared byte for byte.
 	digests [][32]byte
+	// after, when set, is called with each request and its reply once
+	// the request's clock has stopped.
+	after func(path string, body, resp []byte) error
+	// ref, when set, is sampled before each request's clock starts.
+	ref *refClock
 }
 
 // serve sends one request and times ServeHTTP alone: the request value
 // is built before the clock starts and the reply is inspected after it
 // stops. A status other than 200 is returned as an error.
 func (r *runner) serve(h http.Handler, path string, body []byte, class, kind string) ([]byte, error) {
+	r.ref.maybe()
 	req, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -76,6 +82,11 @@ func (r *runner) serve(h http.Handler, path string, body []byte, class, kind str
 	resp := rec.body.Bytes()
 	if rec.status != http.StatusOK {
 		return nil, fmt.Errorf("%s %s: status %d: %s", path, class, rec.status, bytes.TrimSpace(resp))
+	}
+	if r.after != nil {
+		if err := r.after(path, body, resp); err != nil {
+			return nil, fmt.Errorf("%s %s: %w", path, class, err)
+		}
 	}
 	if r.digests != nil {
 		d, err := responseDigest(path, resp)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,7 +17,9 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"strconv"
 	"time"
 
 	"reticle"
@@ -100,6 +103,14 @@ type window struct {
 	allocMB   float64
 }
 
+func (w *window) add(o window) {
+	w.wall += o.wall
+	w.cpu += o.cpu
+	w.steal += o.steal
+	w.gcCycles += o.gcCycles
+	w.allocMB += o.allocMB
+}
+
 func measure(loop func() error) (window, error) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -117,7 +128,7 @@ func measure(loop func() error) (window, error) {
 
 // passes runs whole passes until the time is spent (or the workload's
 // bound is reached) and returns how many ran.
-func passes(w workload, r *runner, seconds float64, limit int) (int, error) {
+func passes(w workload, r *runner, seconds float64) (int, error) {
 	start := time.Now()
 	n := 0
 	for {
@@ -125,13 +136,87 @@ func passes(w workload, r *runner, seconds float64, limit int) (int, error) {
 			return n, err
 		}
 		n++
-		if (limit > 0 && n >= limit) || (w.maxPasses() > 0 && n >= w.maxPasses()) {
-			return n, nil
-		}
-		if limit == 0 && time.Since(start).Seconds() >= seconds {
+		if w.maxPasses() > 0 && n >= w.maxPasses() || time.Since(start).Seconds() >= seconds {
 			return n, nil
 		}
 	}
+}
+
+// refClock samples the CPU time of refWork through a run, between
+// requests. The CPU metrics are reported in units of its median. On the
+// shared VM the bounds were measured on, the host shifts for minutes at
+// a time into regimes where every instruction runs up to a quarter
+// slower (a busy SMT sibling, steal), and process CPU time grows with
+// it: the same cold_compile seeds read 8.1 or 10.3 CPU ms per request
+// depending on the minute. A fixed Go computation that allocates,
+// hashes, sorts and encodes like the compiler slows with the host, so
+// the ratio holds across those regimes: three sets of ten
+// cold_compile runs agreed to 2% where the medians of raw CPU sets
+// moved by up to a quarter.
+type refClock struct {
+	ms   []float64
+	last time.Time
+}
+
+// refEvery is how often, in wall time, the reference is sampled. Each
+// sample costs about 12 ms of CPU, and single samples scatter by a
+// quarter with the host's short bursts, so a run takes about a hundred.
+const refEvery = 250 * time.Millisecond
+
+func (c *refClock) maybe() {
+	if c == nil || !c.last.IsZero() && time.Since(c.last) < refEvery {
+		return
+	}
+	// The sample is the calling thread's CPU time with the collector
+	// paused (SetGCPercent(-1) first waits out a cycle in progress): a
+	// garbage collection of the server's heap, or its background workers
+	// on the other CPU, would otherwise land in one sample and not the
+	// next.
+	gc := debug.SetGCPercent(-1)
+	runtime.LockOSThread()
+	c0 := threadCPU()
+	refSink += refWork()
+	d := threadCPU() - c0
+	runtime.UnlockOSThread()
+	debug.SetGCPercent(gc)
+	c.ms = append(c.ms, float64(d.Nanoseconds())/1e6)
+	c.last = time.Now()
+}
+
+var refSink int
+
+type refRecord struct {
+	Key  string            `json:"key"`
+	Vals []int             `json:"vals"`
+	Tags map[string]string `json:"tags"`
+}
+
+// refWork is the reference computation: it depends on no code of the
+// repository, so no change to the compiler moves it.
+func refWork() int {
+	m := make(map[string]int)
+	for i := 0; i < 20000; i++ {
+		m["k"+strconv.Itoa(i*7919)] = i
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	rs := make([]refRecord, 1000)
+	for i := range rs {
+		rs[i] = refRecord{Key: keys[i], Vals: []int{i, i + 1, i + 2}, Tags: map[string]string{"k": keys[i]}}
+	}
+	b, err := json.Marshal(rs)
+	if err != nil {
+		panic(err)
+	}
+	var back []refRecord
+	if err := json.Unmarshal(b, &back); err != nil {
+		panic(err)
+	}
+	sum := sha256.Sum256(b)
+	return len(back) + len(keys) + int(sum[0])
 }
 
 // setupTimes sets the workload up repeatedly and returns each set-up's
@@ -163,11 +248,12 @@ func runTimed(name string, e *env, seconds float64) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	r := &runner{}
+	rc := &refClock{}
+	r := &runner{ref: rc}
 	var n int
 	win, err := measure(func() error {
 		var perr error
-		n, perr = passes(w, r, seconds, 0)
+		n, perr = passes(w, r, seconds)
 		return perr
 	})
 	rss := peakRSSMB()
@@ -219,6 +305,9 @@ func runTimed(name string, e *env, seconds float64) (result, error) {
 	}
 	fmt.Printf("setup_s (process CPU): median=%.4f runs=%d first=%.4f; wall median=%.4f\n",
 		median(setups), len(setups), setups[0], median(setupWall))
+	ref := median(rc.ms)
+	fmt.Printf("cpu: ms_per_op=%.4g latency_ms_geomean=%.4g; reference median=%.4gms samples=%d\n",
+		float64(cpu.Nanoseconds())/1e6/float64(len(r.ops)), geomean(classCPU), ref, len(rc.ms))
 	fmt.Printf("wall (reported, not bounded): ops_per_s=%.4g latency_ms_geomean=%.4g\n",
 		float64(len(r.ops))/wall.Seconds(), geomean(classMedians))
 	kinds := make([]string, 0, len(byKind))
@@ -247,13 +336,13 @@ func runTimed(name string, e *env, seconds float64) (result, error) {
 		Attempted: attempted,
 		Failed:    failedOps,
 		Metrics: map[string]metric{
-			"setup_s":                {median(setups), "s"},
-			"cpu_ms_per_op":          {float64(cpu.Nanoseconds()) / 1e6 / ops, "ms"},
-			"cpu_latency_ms_geomean": {geomean(classCPU), "ms"},
-			"peak_rss_mb":            {rss, "MB"},
-			"critical_ns_geomean":    {geomean(q.criticalNs), "model-ns"},
-			"luts_total":             {float64(q.luts), "count"},
-			"dsps_total":             {float64(q.dsps), "count"},
+			"setup_s":                 {median(setups), "s"},
+			"cpu_per_op_ref":          {float64(cpu.Nanoseconds()) / 1e6 / ops / ref, "ref"},
+			"cpu_latency_ref_geomean": {geomean(classCPU) / ref, "ref"},
+			"peak_rss_mb":             {rss, "MB"},
+			"critical_ns_geomean":     {geomean(q.criticalNs), "model-ns"},
+			"luts_total":              {float64(q.luts), "count"},
+			"dsps_total":              {float64(q.dsps), "count"},
 		},
 	}, nil
 }

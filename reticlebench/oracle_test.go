@@ -1,7 +1,7 @@
 package main
 
 import (
-	"context"
+	"encoding/json"
 	"net/http"
 	"regexp"
 	"strings"
@@ -22,22 +22,27 @@ const maccSrc = `def macc(a:i8, b:i8, c:i8, en:bool) -> (y:i8) {
     y:i8 = reg[0](t1, en) @??;
 }`
 
-// served compiles src cache-free and returns its wire artifact.
+// served compiles src on a fresh default server and returns its wire
+// artifact.
 func served(t *testing.T, family, src string) (*pipeline.Config, server.ArtifactJSON) {
 	t.Helper()
 	cfg, err := configFor(family)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := ir.Parse(src)
+	srv, err := reticle.NewServer(reticle.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := pipeline.Compile(context.Background(), cfg, f)
+	resp, err := (&runner{}).serve(srv, "/compile", compileBody(family, src), "served", "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg, artifactWire(art)
+	var cr server.CompileResponse
+	if err := json.Unmarshal(resp, &cr); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, cr.Artifact
 }
 
 func programSrc(t *testing.T, name string, size int) string {
@@ -216,27 +221,37 @@ func TestEditsKeepTheirCacheTier(t *testing.T) {
 	}
 }
 
-// TestMirrorMatchesServer drives the same requests through the server
-// and the traced mirror and compares every reply's digest.
-func TestMirrorMatchesServer(t *testing.T) {
+// TestTracedServerMatchesServer drives the same requests through the
+// default server and a traced one, compares every reply's digest, and
+// checks that the seam calls were turned into the layers they bracket.
+func TestTracedServerMatchesServer(t *testing.T) {
 	srv, err := reticle.NewServer(reticle.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := newTracer()
-	tr.on = true
+	traced, err := tr.newHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.start(); err != nil {
+		t.Fatal(err)
+	}
 	f, _ := ir.Parse(programSrc(t, "fsm", 3))
 	reqs := []struct{ path, family, src string }{
 		{"/compile", "ultrascale", f.String()},
 		{"/compile", "ultrascale", f.String()},
 		{"/compile", "ultrascale", renameTemps(f, "_x").String()},
-		{"/compile", "agilex", shiftValues(f, 3).String()},
+		{"/compile", "ultrascale", shiftValues(f, 3).String()},
 		{"/explore", "ultrascale", programSrc(t, "tensoradd", 64)},
 		{"/explore", "agilex", maccSrc},
 	}
 	var got [2][][32]byte
-	for i, h := range []http.Handler{srv, newMirror(tr)} {
+	for i, h := range []http.Handler{srv, traced} {
 		r := &runner{digests: [][32]byte{}}
+		if i == 1 {
+			r.after = tr.finish
+		}
 		for _, q := range reqs {
 			body := compileBody(q.family, q.src)
 			if q.path == "/explore" {
@@ -250,10 +265,34 @@ func TestMirrorMatchesServer(t *testing.T) {
 	}
 	for i := range reqs {
 		if got[0][i] != got[1][i] {
-			t.Errorf("request %d (%s %s): mirror reply differs from the server's", i, reqs[i].path, reqs[i].family)
+			t.Errorf("request %d (%s %s): traced reply differs from the server's", i, reqs[i].path, reqs[i].family)
 		}
 	}
-	if len(tr.spans) == 0 {
-		t.Error("traced mirror recorded no spans")
+	d, err := tr.stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.ops != len(reqs) {
+		t.Errorf("traced %d requests, want %d", tr.ops, len(reqs))
+	}
+	for _, l := range []string{"server.front", "server.encode", "stagecache.lookup", "stagecache.store",
+		"stagecache.key", "stagecache.decode", "isel.select", "cascade.apply", "ir.structural_hash",
+		"hintcache.lookup", "place.place", "place.verify", "codegen.generate"} {
+		if tr.self[l] <= 0 {
+			t.Errorf("no time charged to %s", l)
+		}
+	}
+	// The value edit keeps the placement problem, so its hint is adopted.
+	if tr.counts["hintcache.adopted"] < 1 {
+		t.Error("no hint adoption seen")
+	}
+	if d.stages.TimingNS <= 0 || d.steps <= 0 || d.hits < 1 {
+		t.Errorf("server counters did not move: %+v", d)
+	}
+	if float64(d.stages.TimingNS) >= float64(tr.self["codegen.generate"]) {
+		t.Error("timing analysis not inside the output-stage gap")
+	}
+	if len(tr.sweeps) != 2 || tr.counts["explore.variants"] == 0 {
+		t.Errorf("sweeps recorded: %d", len(tr.sweeps))
 	}
 }

@@ -21,6 +21,16 @@ func cpuNow() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
+// threadCPU is the calling OS thread's user+sys CPU time so far
+// (getrusage RUSAGE_THREAD).
+func threadCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(1, &ru); err != nil { // RUSAGE_THREAD
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // stealSeconds reads the host's cumulative CPU steal, summed over all
 // CPUs, from the "cpu" line of /proc/stat (USER_HZ ticks, 100 per
 // second on Linux). It returns -1 where /proc/stat is unreadable.

@@ -29,7 +29,7 @@ def run_once(workload, seed, seconds, trace):
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"{workload} seed {seed}: exit {proc.returncode}")
-    noise = next((l for l in lines if l.startswith("noise")), "")
+    noise = " ".join(l for l in lines if l.startswith(("noise", "cpu:")))
     return json.loads(lines[-1]), noise
 
 

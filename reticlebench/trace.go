@@ -1,701 +1,516 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"os"
 	"sort"
 	"sync"
 	"time"
 
-	"reticle/internal/asm"
-	"reticle/internal/cache"
-	"reticle/internal/cascade"
-	"reticle/internal/codegen"
 	"reticle/internal/explore"
 	"reticle/internal/hintcache"
 	"reticle/internal/ir"
-	"reticle/internal/isel"
 	"reticle/internal/pipeline"
 	"reticle/internal/place"
-	"reticle/internal/rerr"
 	"reticle/internal/server"
 	"reticle/internal/stagecache"
-	"reticle/internal/timing"
 )
 
-// The traced run cannot put spans inside the program yet, so it
-// re-composes what one request does inside reticle-serve from the
-// layers' public functions (the artifact and text LRUs, ir.Parse, the
-// key functions, the stage memo and hint stores, the five stages, the
-// wire encoders) and times each call from here. Its replies must be
-// byte-identical to the real server's on the same request sequence;
-// the traced run checks that before it reports anything.
+// The traced run drives the real server, built as reticle.NewServer
+// builds it, except that its stage memo and placement hint store are
+// handed in through the family configs (pipeline.StageCache and
+// pipeline.HintCache) wrapped in timers. Each request carries its trace
+// in its context, which the server threads into pipeline.Compile and
+// into every explore variant's compile, so each call into the two
+// stores is charged to its request. The reply writer is the third seam:
+// the server encodes a reply between WriteHeader and Write.
+//
+// Between two consecutive seam calls of one compile, pipeline.Compile
+// does one fixed piece of work, so those gaps are layer spans as well
+// (see gapLayer). What no seam brackets stays inside server.front (the
+// request's decode, the exact-text and artifact LRUs, ir.Parse and the
+// canonical hash, up to the first stage-memo call) or outside every
+// span (the artifact's wire rendering and, on /explore, scoring and the
+// frontier), and shows in trace.coverage_ratio.
 
-// span is one timed call into a layer. Spans of one request share op;
-// parent is the span that made the call (0 for the request itself).
+// Seam call kinds. Both hint-store calls are charged to one layer.
+const (
+	evLookup     = "stagecache.lookup"
+	evStore      = "stagecache.store"
+	evHintLookup = "hintcache.lookup"
+	evHintRecord = "hintcache.record"
+)
+
+// event is one timed call into a wrapped store.
+type event struct {
+	kind, stage string
+	hit         bool   // lookups: the store answered
+	payload     []byte // stores: what the pipeline handed over
+	start, end  time.Time
+}
+
+func (e event) layer() string {
+	if e.kind == evHintRecord {
+		return evHintLookup
+	}
+	return e.kind
+}
+
+// opTrace is one request's record: its seam calls in call order and the
+// reply's encode window.
+type opTrace struct {
+	mu              sync.Mutex
+	events          []event
+	start, end      time.Time
+	header, written time.Time // WriteHeader, and the end of the last Write
+}
+
+func (o *opTrace) add(e event) {
+	o.mu.Lock()
+	o.events = append(o.events, e)
+	o.mu.Unlock()
+}
+
+type opKey struct{}
+
+func opOf(ctx context.Context) *opTrace {
+	o, _ := ctx.Value(opKey{}).(*opTrace)
+	return o
+}
+
+// tracedStages is the stage memo with every call from a traced request
+// timed.
+type tracedStages struct{ inner *stagecache.Store }
+
+func (s tracedStages) Lookup(ctx context.Context, stage, key string) ([]byte, bool) {
+	o := opOf(ctx)
+	if o == nil {
+		return s.inner.Lookup(ctx, stage, key)
+	}
+	t0 := time.Now()
+	raw, ok := s.inner.Lookup(ctx, stage, key)
+	o.add(event{kind: evLookup, stage: stage, hit: ok, start: t0, end: time.Now()})
+	return raw, ok
+}
+
+func (s tracedStages) Store(ctx context.Context, stage, key string, payload []byte) {
+	o := opOf(ctx)
+	if o == nil {
+		s.inner.Store(ctx, stage, key, payload)
+		return
+	}
+	t0 := time.Now()
+	s.inner.Store(ctx, stage, key, payload)
+	o.add(event{kind: evStore, stage: stage, payload: payload, start: t0, end: time.Now()})
+}
+
+// tracedHints is the placement hint store, timed the same way.
+type tracedHints struct{ inner *hintcache.Store }
+
+func (h tracedHints) Lookup(ctx context.Context, key string) *place.Anchors {
+	o := opOf(ctx)
+	if o == nil {
+		return h.inner.Lookup(ctx, key)
+	}
+	t0 := time.Now()
+	a := h.inner.Lookup(ctx, key)
+	o.add(event{kind: evHintLookup, hit: a != nil, start: t0, end: time.Now()})
+	return a
+}
+
+func (h tracedHints) Record(ctx context.Context, key string, a *place.Anchors) {
+	o := opOf(ctx)
+	if o == nil {
+		h.inner.Record(ctx, key, a)
+		return
+	}
+	t0 := time.Now()
+	h.inner.Record(ctx, key, a)
+	o.add(event{kind: evHintRecord, start: t0, end: time.Now()})
+}
+
+// timedWriter notes when the server starts and ends writing its reply.
+type timedWriter struct {
+	http.ResponseWriter
+	o *opTrace
+}
+
+func (w timedWriter) WriteHeader(code int) {
+	w.o.header = time.Now()
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w timedWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.o.written = time.Now()
+	return n, err
+}
+
+// tracedServer is one server of the traced run.
+type tracedServer struct {
+	t    *tracer
+	srv  *server.Server
+	base serverCounts // the server's counters when its traced requests began
+}
+
+// newTracedServer builds a server with the tiers a default
+// reticle.NewServer wires (artifact LRU, exact-text memo, hint store and
+// stage memo, default sizes), the last two wrapped.
+func newTracedServer(t *tracer) (*tracedServer, error) {
+	stages := tracedStages{stagecache.New(0)}
+	hints := tracedHints{hintcache.New(0)}
+	configs := map[string]*pipeline.Config{}
+	for _, fam := range families {
+		cfg, err := configFor(fam)
+		if err != nil {
+			return nil, err
+		}
+		c := *cfg
+		c.StageCache, c.HintCache = stages, hints
+		configs[fam] = &c
+	}
+	srv, err := server.New(server.Options{DefaultFamily: "ultrascale", NoHintCache: true, NoStageCache: true}, configs)
+	if err != nil {
+		return nil, err
+	}
+	return &tracedServer{t: t, srv: srv}, nil
+}
+
+func (s *tracedServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !s.t.on {
+		s.srv.ServeHTTP(w, r)
+		return
+	}
+	o := &opTrace{start: time.Now()}
+	s.srv.ServeHTTP(timedWriter{w, o}, r.WithContext(context.WithValue(r.Context(), opKey{}, o)))
+	o.end = time.Now()
+	s.t.last = o
+}
+
+// serverCounts are the /stats counters the traced run reads: the
+// pipeline's own stage times (Artifact.Stages, summed), the placement
+// solver counters and the artifact LRU's.
+type serverCounts struct {
+	stages                  server.StagesJSON
+	steps, probes           int
+	hits, misses, evictions uint64
+}
+
+func countsOf(s *server.Server) (serverCounts, error) {
+	req, err := http.NewRequest(http.MethodGet, "/stats", nil)
+	if err != nil {
+		return serverCounts{}, err
+	}
+	rec := &recorder{}
+	s.ServeHTTP(rec, req)
+	var st server.StatsResponse
+	if err := json.Unmarshal(rec.body.Bytes(), &st); err != nil {
+		return serverCounts{}, fmt.Errorf("/stats: %w", err)
+	}
+	return serverCounts{stages: st.Stages, steps: st.Place.SolverSteps, probes: st.Place.ShrinkProbes,
+		hits: st.Cache.Hits, misses: st.Cache.Misses, evictions: st.Cache.Evictions}, nil
+}
+
+// add returns a + (b - base): the counters one server moved since base.
+func (a serverCounts) add(b, base serverCounts) serverCounts {
+	a.stages.SelectNS += b.stages.SelectNS - base.stages.SelectNS
+	a.stages.CascadeNS += b.stages.CascadeNS - base.stages.CascadeNS
+	a.stages.PlaceNS += b.stages.PlaceNS - base.stages.PlaceNS
+	a.stages.CodegenNS += b.stages.CodegenNS - base.stages.CodegenNS
+	a.stages.TimingNS += b.stages.TimingNS - base.stages.TimingNS
+	a.steps += b.steps - base.steps
+	a.probes += b.probes - base.probes
+	a.hits += b.hits - base.hits
+	a.misses += b.misses - base.misses
+	a.evictions += b.evictions - base.evictions
+	return a
+}
+
+func (a serverCounts) stageNS() int64 {
+	s := a.stages
+	return s.SelectNS + s.CascadeNS + s.PlaceNS + s.CodegenNS + s.TimingNS
+}
+
+// stageLayer names what a stage does between its memo miss and its
+// store: the stage itself and the printing of its result for the memo.
+// The output stage's gap holds codegen.Generate, timing.Analyze (taken
+// out again from the pipeline's own stage times) and Module.String; no
+// seam separates the rendering.
+var stageLayer = map[string]string{
+	pipeline.StageSelect:  "isel.select",
+	pipeline.StageCascade: "cascade.apply",
+	pipeline.StageOutput:  "codegen.generate",
+}
+
+// gapLayer names the work pipeline.Compile does between two consecutive
+// seam calls a and b of one compile, or "" where the gap holds more than
+// one layer. Each stage consults the memo, recomputes on a miss and
+// stores; placement looks up the hint store (under the structural key)
+// before solving and records after.
+func gapLayer(a, b event) string {
+	switch {
+	case a.kind == evLookup && !a.hit && b.kind == evStore && a.stage == b.stage:
+		return stageLayer[a.stage]
+	case a.kind == evLookup && !a.hit && a.stage == pipeline.StagePlace && b.kind == evHintLookup:
+		return "ir.structural_hash" // pipeline.HintKeyFor
+	case a.kind == evHintLookup && (b.kind == evHintRecord || b.kind == evStore && b.stage == pipeline.StagePlace):
+		return "place.place"
+	case a.kind == evLookup && a.hit && b.kind == evLookup && b.stage != pipeline.StageSelect:
+		if a.stage == pipeline.StagePlace {
+			return "place.verify" // decode of the memoized layout, place.Verify, the output key
+		}
+		if a.stage != pipeline.StageOutput {
+			return "stagecache.decode" // decode of the memoized assembly, the next stage's key
+		}
+	case a.kind == evStore && b.kind == evLookup && b.stage != pipeline.StageSelect:
+		return "stagecache.key" // the next stage's key: its input re-printed and hashed
+	}
+	return ""
+}
+
+// span is one layer's share of one request; parent is the request's
+// own span (id == op), whose parent is 0.
 type span struct {
 	id, parent, op int64
 	name           string
 	start, end     time.Time
-	container      bool // groups calls into other layers; not a layer itself
 }
 
-// tracer keeps spans and counters in memory until the run ends.
-type tracer struct {
-	mu     sync.Mutex
-	on     bool
-	nextID int64
-	spans  []span
-	counts map[string]float64
-}
-
-func newTracer() *tracer { return &tracer{counts: map[string]float64{}} }
-
-// sp is an open span; the zero value (tracing off) records nothing.
-type sp struct {
-	t         *tracer
-	id, op    int64
-	parent    int64
-	name      string
-	start     time.Time
-	container bool
-}
-
-func (t *tracer) begin(name string, parent sp) sp {
-	if t == nil || parent.t == nil {
-		return sp{}
-	}
-	t.mu.Lock()
-	t.nextID++
-	id := t.nextID
-	t.mu.Unlock()
-	return sp{t: t, id: id, op: parent.op, parent: parent.id, name: name, start: time.Now()}
-}
-
-// beginOp opens the span of one request.
-func (t *tracer) beginOp() sp {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.on {
-		return sp{}
-	}
-	t.nextID++
-	return sp{t: t, id: t.nextID, op: t.nextID, name: "op", start: time.Now(), container: true}
-}
-
-func (s sp) end() {
-	if s.t == nil {
-		return
-	}
-	e := time.Now()
-	s.t.mu.Lock()
-	s.t.spans = append(s.t.spans, span{id: s.id, parent: s.parent, op: s.op, name: s.name,
-		start: s.start, end: e, container: s.container})
-	s.t.mu.Unlock()
-}
-
-// count adds to a named counter, under the same on/off switch as spans.
-func (s sp) count(name string, v float64) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.t.counts[name] += v
-	s.t.mu.Unlock()
-}
-
-// mirrorEntry is what the artifact LRU holds: the artifact and its
-// wire rendering, as in the server.
-type mirrorEntry struct {
-	art      *pipeline.Artifact
-	rendered json.RawMessage
-}
-
-type mirrorText struct {
-	key  cache.Key
-	name string
-}
-
-// mirror answers /compile and /explore from the layers directly, with
-// the same tiers a default reticle.NewServer wires: artifact LRU,
-// exact-text memo, placement hint store and stage memo.
-type mirror struct {
-	t      *tracer
-	arts   *cache.Cache[mirrorEntry]
-	texts  *cache.Cache[mirrorText]
-	hints  *hintcache.Store
-	stages *stagecache.Store
-
-	mu     sync.Mutex
-	sweeps []sweepRecord // first sweeps seen, for the enumerate and frontier timings
-	built  []builtRecord // first artifacts compiled, for the probes of unreached layers
-}
-
-type builtRecord struct {
-	cfg *pipeline.Config
-	art *pipeline.Artifact
-}
-
+// sweepRecord is one /explore request, kept for the two explore layers
+// no seam reaches.
 type sweepRecord struct {
 	f      *ir.Func
 	max    int
 	points []explore.Point
 }
 
-func newMirror(t *tracer) *mirror {
-	return &mirror{
-		t:      t,
-		arts:   cache.New[mirrorEntry](0),
-		texts:  cache.New[mirrorText](0),
-		hints:  hintcache.New(0),
-		stages: stagecache.New(0),
-	}
+// tracer folds every traced request into layer totals and counters.
+type tracer struct {
+	on     bool
+	last   *opTrace // the request just served, until finish takes it
+	ops    int
+	spans  []span
+	self   map[string]time.Duration
+	counts map[string]float64
+	cover  float64 // sum over requests of the share their spans cover
+	sweeps []sweepRecord
+
+	cur  *tracedServer
+	done serverCounts // counters of the servers already retired
 }
 
-func (m *mirror) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	op := m.t.beginOp()
-	defer op.end()
-	ds := m.t.begin("server.decode", op)
-	body, err := io.ReadAll(r.Body)
+func newTracer() *tracer {
+	return &tracer{self: map[string]time.Duration{}, counts: map[string]float64{}}
+}
+
+// newHandler retires the current server, folding in its counters, and
+// builds the next one; the retired server is not kept.
+func (t *tracer) newHandler() (http.Handler, error) {
+	if err := t.retire(); err != nil {
+		return nil, err
+	}
+	s, err := newTracedServer(t)
 	if err != nil {
-		ds.end()
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	switch r.URL.Path {
-	case "/compile":
-		var req server.CompileRequest
-		err = strictDecode(body, &req)
-		ds.end()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		m.compile(w, op, req)
-	case "/explore":
-		var req server.ExploreRequest
-		err = strictDecode(body, &req)
-		ds.end()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		m.explore(w, op, req)
-	default:
-		ds.end()
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s", r.URL.Path))
+	t.cur = s
+	return s, nil
+}
+
+func (t *tracer) retire() error {
+	if t.cur == nil || !t.on {
+		return nil
 	}
-}
-
-func strictDecode(body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeWire(w, code, server.ErrorResponse{Error: err.Error(), Code: code}, sp{})
-}
-
-// writeWire encodes a reply the way the server does (json.Encoder, so
-// with a trailing newline), inside a server.encode span.
-func writeWire(w http.ResponseWriter, code int, v any, parent sp) {
-	es := parent.t.begin("server.encode", parent)
-	defer es.end()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// compileWire mirrors the server's /compile reply: CompileResponse with
-// the artifact carried as its pre-rendered bytes.
-type compileWire struct {
-	Name     string          `json:"name"`
-	Family   string          `json:"family"`
-	Cache    string          `json:"cache"`
-	Key      string          `json:"key"`
-	Artifact json.RawMessage `json:"artifact"`
-}
-
-func (m *mirror) compile(w http.ResponseWriter, op sp, req server.CompileRequest) {
-	cfg, err := configFor(req.Family)
+	c, err := countsOf(t.cur.srv)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
-	ls := m.t.begin("cache.lookup", op)
-	tk := textKeyOf(req.Family, req.IR)
-	if te, ok := m.texts.Peek(tk); ok {
-		if ce, ok := m.arts.Peek(te.key); ok {
-			ls.end()
-			name := req.Name
-			if name == "" {
-				name = te.name
+	t.done = t.done.add(c, t.cur.base)
+	t.cur = nil
+	return nil
+}
+
+func (t *tracer) start() error {
+	t.on = true
+	if t.cur == nil {
+		return nil
+	}
+	c, err := countsOf(t.cur.srv)
+	t.cur.base = c
+	return err
+}
+
+// stop ends tracing and returns the counters the traced requests moved.
+func (t *tracer) stop() (serverCounts, error) {
+	err := t.retire()
+	t.on = false
+	return t.done, err
+}
+
+// finish folds the request just served into the totals. It runs after
+// the request's clock has stopped.
+func (t *tracer) finish(path string, body, resp []byte) error {
+	o := t.last
+	if o == nil {
+		return nil
+	}
+	t.last = nil
+	t.ops++
+	op := int64(len(t.spans) + 1)
+	t.spans = append(t.spans, span{id: op, op: op, name: "op", start: o.start, end: o.end})
+	var mine []span
+	add := func(name string, a, b time.Time) {
+		if !a.IsZero() && b.After(a) {
+			mine = append(mine, span{parent: op, op: op, name: name, start: a, end: b})
+		}
+	}
+	sort.SliceStable(o.events, func(i, j int) bool { return o.events[i].start.Before(o.events[j].start) })
+	front := o.header
+	if len(o.events) > 0 {
+		front = o.events[0].start
+	}
+	add("server.front", o.start, front)
+	for i, e := range o.events {
+		add(e.layer(), e.start, e.end)
+		var next event
+		if i+1 < len(o.events) {
+			next = o.events[i+1]
+			if l := gapLayer(e, next); l != "" {
+				add(l, e.end, next.start)
 			}
-			writeWire(w, http.StatusOK, compileWire{Name: name, Family: req.Family, Cache: "hit",
-				Key: string(te.key), Artifact: ce.rendered}, op)
-			return
+		}
+		if err := t.count(e, next); err != nil {
+			return err
 		}
 	}
-	ls.end()
-	ps := m.t.begin("ir.parse", op)
+	add("server.encode", o.header, o.written)
+
+	for i := range mine {
+		mine[i].id = op + int64(i) + 1
+		t.self[mine[i].name] += mine[i].end.Sub(mine[i].start)
+	}
+	t.spans = append(t.spans, mine...)
+	if d := o.end.Sub(o.start); d > 0 {
+		t.cover += float64(covered(mine, o.start, o.end)) / float64(d)
+	}
+	if path == "/explore" {
+		return t.sweep(body, resp)
+	}
+	return nil
+}
+
+// count adds the counters one seam call shows; next is the call after
+// it in the same request (zero at the end).
+func (t *tracer) count(e, next event) error {
+	switch e.kind {
+	case evLookup:
+		t.counts["stagecache.lookups"]++
+		if e.hit {
+			t.counts["stagecache.hits"]++
+		}
+	case evHintLookup:
+		t.counts["hintcache.lookups"]++
+		// Adopted anchors go straight to the memo store; a cold solve
+		// (or a revalidation failure) records fresh anchors first.
+		if e.hit && next.kind == evStore && next.stage == pipeline.StagePlace {
+			t.counts["hintcache.adopted"]++
+		}
+	case evStore:
+		t.counts["stagecache.bytes"] += float64(len(e.payload))
+		switch e.stage {
+		case pipeline.StageSelect:
+			// asm.Func.String: a header line, one line per instruction, "}".
+			t.counts["isel.asm_instrs"] += float64(bytes.Count(e.payload, []byte{'\n'}) - 2)
+		case pipeline.StageCascade:
+			var c struct {
+				Chains int `json:"chains"`
+			}
+			if err := json.Unmarshal(e.payload, &c); err != nil {
+				return fmt.Errorf("cascade memo payload: %w", err)
+			}
+			t.counts["cascade.chains"] += float64(c.Chains)
+		case pipeline.StageOutput:
+			var out struct {
+				Verilog string `json:"verilog"`
+			}
+			if err := json.Unmarshal(e.payload, &out); err != nil {
+				return fmt.Errorf("output memo payload: %w", err)
+			}
+			t.counts["verilog.bytes"] += float64(len(out.Verilog))
+		}
+	}
+	return nil
+}
+
+// sweep counts one /explore reply and keeps the sweep's input and
+// frontier candidates (the first 256 sweeps).
+func (t *tracer) sweep(body, resp []byte) error {
+	var req server.ExploreRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return err
+	}
+	var er server.ExploreResponse
+	if err := json.Unmarshal(resp, &er); err != nil {
+		return err
+	}
+	t.counts["explore.sweeps"]++
+	t.counts["explore.variants"] += float64(er.Stats.Variants)
+	t.counts["explore.wall_ns"] += float64(er.Stats.WallNS) * float64(max(req.Jobs, 1))
+	if len(t.sweeps) >= 256 {
+		return nil
+	}
 	f, err := ir.Parse(req.IR)
-	ps.end()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("parse: %v", err))
-		return
+		return err
 	}
-	hs := m.t.begin("ir.canonical_hash", op)
-	key := cache.KeyFor(cfg, f)
-	hs.end()
-	ls = m.t.begin("cache.lookup", op)
-	m.texts.Add(tk, mirrorText{key: key, name: f.Name})
-	ce, hit, err := m.lookupOrCompile(context.Background(), op, ls, cfg, f, key)
-	if err != nil {
-		writeWire(w, rerr.HTTPStatus(err), server.ErrorResponse{Error: rerr.Message(err),
-			Code: rerr.HTTPStatus(err), ErrorCode: rerr.CodeOf(err), Class: rerr.ClassOf(err).String()}, op)
-		return
+	n := req.MaxVariants
+	if n == 0 {
+		n = explore.DefaultMaxVariants
 	}
-	name := req.Name
-	if name == "" {
-		name = f.Name
+	rec := sweepRecord{f: f, max: min(n, explore.HardMaxVariants)}
+	for _, v := range er.Variants {
+		if v.OK && !v.Degraded && v.Metrics != nil {
+			m := explore.Metrics{CriticalNs: v.Metrics.CriticalNs, Luts: v.Metrics.Luts,
+				Dsps: v.Metrics.Dsps, Carries: v.Metrics.Carries}
+			rec.points = append(rec.points, explore.Point{ID: v.ID, Objectives: m.Objectives()})
+		}
 	}
-	status := "miss"
-	if hit {
-		status = "hit"
-	}
-	writeWire(w, http.StatusOK, compileWire{Name: name, Family: req.Family, Cache: status,
-		Key: string(key), Artifact: ce.rendered}, op)
+	t.sweeps = append(t.sweeps, rec)
+	return nil
 }
 
-// lookupOrCompile is the server's compileKernel: the artifact LRU, and
-// on a miss the pipeline and the wire rendering. ls is the open
-// cache.lookup span; it closes when the LRU hands over to compute, and
-// a second one covers the insert.
-func (m *mirror) lookupOrCompile(ctx context.Context, parent, ls sp, cfg *pipeline.Config, f *ir.Func, key cache.Key) (mirrorEntry, bool, error) {
-	var store sp
-	computed := false
-	ce, hit, err := m.arts.GetOrComputeKeep(ctx, key, func() (mirrorEntry, error) {
-		computed = true
-		ls.end()
-		art, err := m.pipeline(ctx, parent, cfg, f)
-		if err != nil {
-			store = m.t.begin("cache.lookup", parent)
-			return mirrorEntry{}, err
-		}
-		if parent.t != nil {
-			m.mu.Lock()
-			if len(m.built) < 256 {
-				m.built = append(m.built, builtRecord{cfg: cfg, art: art})
-			}
-			m.mu.Unlock()
-		}
-		es := m.t.begin("server.encode", parent)
-		raw, err := json.Marshal(artifactWire(art))
-		es.end()
-		store = m.t.begin("cache.lookup", parent)
-		return mirrorEntry{art: art, rendered: raw}, err
-	}, func(e mirrorEntry) bool { return e.art == nil || !e.art.Degraded })
-	if computed {
-		store.end()
-	} else {
-		ls.end()
+// sweepTimings times the two explore layers explore.Run calls
+// internally, which no seam reaches from outside: the variant
+// enumeration and the frontier over the successful variants. Each sweep
+// makes exactly one call to each; they are replayed on the recorded
+// sweeps after the traced passes, outside any request.
+func (t *tracer) sweepTimings() (enumMS, frontierUS float64) {
+	if len(t.sweeps) == 0 {
+		return 0, 0
 	}
-	return ce, hit, err
-}
-
-func textKeyOf(family, src string) cache.Key {
-	h := sha256.New()
-	h.Write([]byte(family))
-	h.Write([]byte{0})
-	h.Write([]byte(src))
-	return cache.Key(hex.EncodeToString(h.Sum(nil)))
-}
-
-// artifactWire renders an artifact the way the server's wire form does.
-func artifactWire(a *pipeline.Artifact) server.ArtifactJSON {
-	return server.ArtifactJSON{
-		Asm: a.Asm.String(), Placed: a.Placed.String(), Verilog: a.Verilog,
-		LUTs: a.LUTs, DSPs: a.DSPs, FFs: a.FFs, Carries: a.Carries,
-		CriticalNs: a.CriticalNs, FMaxMHz: a.FMaxMHz,
-		CompileNS: a.CompileDur.Nanoseconds(),
-		Stages: server.StagesJSON{
-			SelectNS: a.Stages.Select.Nanoseconds(), CascadeNS: a.Stages.Cascade.Nanoseconds(),
-			PlaceNS: a.Stages.Place.Nanoseconds(), CodegenNS: a.Stages.Codegen.Nanoseconds(),
-			TimingNS: a.Stages.Timing.Nanoseconds(),
-		},
-		CascadeChains: a.CascadeChains, SolverSteps: a.SolverSteps,
-		ShrinkProbes: a.Place.ShrinkProbes, ProbesSkipped: a.Place.ProbesSkipped,
-		HintHits: a.Place.HintHits, HintTried: a.Place.HintTried,
-		WarmStart: a.WarmStart, Degraded: a.Degraded, DegradedReason: a.DegradedReason,
-		HintCacheHits: a.Place.HintCacheHits, HintCacheStepsSaved: a.Place.HintCacheStepsSaved,
-	}
-}
-
-// cascadeEntry and outputEntry are the stage memo's payload shapes.
-type cascadeEntry struct {
-	Asm    string `json:"asm"`
-	Chains int    `json:"chains"`
-}
-
-type outputEntry struct {
-	Verilog      string   `json:"verilog"`
-	LUTs         int      `json:"luts"`
-	DSPs         int      `json:"dsps"`
-	FFs          int      `json:"ffs"`
-	Carries      int      `json:"carries"`
-	CriticalNs   float64  `json:"critical_ns"`
-	FMaxMHz      float64  `json:"fmax_mhz"`
-	CriticalPath []string `json:"critical_path,omitempty"`
-}
-
-// memoLookup consults the stage memo under its key function, inside
-// one stagecache.lookup span.
-func (m *mirror) memoLookup(ctx context.Context, parent sp, stage string, keyOf func() string) (string, []byte, bool) {
-	s := m.t.begin("stagecache.lookup", parent)
-	defer s.end()
-	key := keyOf()
-	raw, ok := m.stages.Lookup(ctx, stage, key)
-	s.count("stagecache.lookups", 1)
-	return key, raw, ok
-}
-
-func (m *mirror) memoStore(ctx context.Context, parent sp, stage, key string, payload []byte) {
-	s := m.t.begin("stagecache.store", parent)
-	m.stages.Store(ctx, stage, key, payload)
-	s.end()
-}
-
-// pipeline is pipeline.Compile with a span around every layer call. It
-// follows the same order of memo consults, stages and stores, so its
-// artifacts equal the server's field for field.
-func (m *mirror) pipeline(ctx context.Context, parent sp, cfg *pipeline.Config, f *ir.Func) (*pipeline.Artifact, error) {
-	if cfg.TimingDriven {
-		return nil, fmt.Errorf("traced pipeline: timing-driven placement is not mirrored")
-	}
-	var stages pipeline.StageTimes
-	skipped := 0
-	t0 := time.Now()
-
-	var af *asm.Func
-	selKey, raw, ok := m.memoLookup(ctx, parent, pipeline.StageSelect, func() string { return pipeline.SelectKeyFor(cfg, f) })
-	if ok {
-		s := m.t.begin("stagecache.decode", parent)
-		fn, err := asm.Parse(string(raw))
-		s.end()
-		if err == nil && fn != nil {
-			af = fn
-			skipped++
-		}
-	}
-	if af == nil {
-		s := m.t.begin("isel.select", parent)
-		var err error
-		af, err = isel.SelectWithLibrary(f, cfg.Lib, isel.Options{Greedy: cfg.Greedy})
-		s.end()
-		if err != nil {
-			return nil, rerr.Wrap(rerr.Permanent, "select_failed", "instruction selection failed", err)
-		}
-		parent.count("isel.asm_instrs", float64(len(af.Body)))
-		m.memoStore(ctx, parent, pipeline.StageSelect, selKey, []byte(af.String()))
-	}
-	stages.Select = time.Since(t0)
-
-	chains := 0
-	tc := time.Now()
-	if !cfg.NoCascade && len(cfg.Cascades) > 0 {
-		cascaded := false
-		casKey, raw, ok := m.memoLookup(ctx, parent, pipeline.StageCascade, func() string { return pipeline.CascadeKeyFor(cfg, af) })
-		if ok {
-			s := m.t.begin("stagecache.decode", parent)
-			var ce cascadeEntry
-			if json.Unmarshal(raw, &ce) == nil {
-				if fn, err := asm.Parse(ce.Asm); err == nil && fn != nil {
-					af, chains, cascaded = fn, ce.Chains, true
-					skipped++
-				}
-			}
-			s.end()
-		}
-		if !cascaded {
-			s := m.t.begin("cascade.apply", parent)
-			opt, st, err := cascade.Apply(af, cfg.Target, cascade.Options{
-				Cascades: cfg.Cascades, AccPort: "c", MaxChain: cfg.Device.Height,
-			})
-			s.end()
-			if err != nil {
-				return nil, rerr.Wrap(rerr.Permanent, "cascade_failed", "layout optimization failed", err)
-			}
-			parent.count("cascade.chains", float64(st.Chains))
-			payload, _ := json.Marshal(cascadeEntry{Asm: opt.String(), Chains: st.Chains})
-			m.memoStore(ctx, parent, pipeline.StageCascade, casKey, payload)
-			af, chains = opt, st.Chains
-		}
-	}
-	stages.Cascade = time.Since(tc)
-
-	tp := time.Now()
-	var placedFn *asm.Func
-	var ps pipeline.PlaceStats
-	warmStart, degraded, degradedReason := "", false, ""
-	placeKey, raw, ok := m.memoLookup(ctx, parent, pipeline.StagePlace, func() string { return pipeline.PlaceKeyFor(cfg, af) })
-	if ok {
-		s := m.t.begin("stagecache.decode", parent)
-		fn, err := asm.Parse(string(raw))
-		s.end()
-		if err == nil && fn != nil {
-			vs := m.t.begin("place.verify", parent)
-			verr := place.Verify(af, fn, cfg.Device)
-			vs.end()
-			if verr == nil {
-				placedFn, warmStart = fn, "stage"
-				skipped++
-			}
-		}
-	}
-	if placedFn == nil {
-		popts := place.Options{Shrink: cfg.Shrink, MaxSteps: cfg.MaxSolverSteps, SolverTimeout: cfg.SolverTimeout}
-		s := m.t.begin("ir.structural_hash", parent)
-		hintKey := pipeline.HintKeyFor(cfg, f)
-		s.end()
-		s = m.t.begin("hintcache.lookup", parent)
-		popts.Hints = m.hints.Lookup(ctx, hintKey)
-		s.end()
-		parent.count("hintcache.lookups", 1)
-		s = m.t.begin("place.place", parent)
-		placed, err := place.PlaceContext(ctx, af, cfg.Device, popts)
-		s.end()
-		if err != nil {
-			return nil, fmt.Errorf("reticle: placement: %w", err)
-		}
-		placedFn = placed.Fn
-		ps = pipeline.PlaceStats{SolverSteps: placed.SolverSteps, ShrinkProbes: placed.ShrinkIters,
-			ProbesSkipped: placed.ProbesSkipped, HintHits: placed.HintHits, HintTried: placed.HintTried}
-		warmStart, degraded, degradedReason = placed.WarmStart, placed.Degraded, placed.DegradedReason
-		parent.count("place.solver_steps", float64(placed.SolverSteps))
-		parent.count("place.shrink_probes", float64(placed.ShrinkIters))
-		if warmStart == "adopted" && placed.Anchors != nil {
-			ps.HintCacheHits = 1
-			ps.HintCacheStepsSaved = placed.Anchors.ColdSteps
-			parent.count("hintcache.adopted", 1)
-		}
-		if placed.Anchors != nil && warmStart != "adopted" {
-			s = m.t.begin("hintcache.lookup", parent)
-			m.hints.Record(ctx, hintKey, placed.Anchors)
-			s.end()
-		}
-		if !degraded {
-			m.memoStore(ctx, parent, pipeline.StagePlace, placeKey, []byte(placedFn.String()))
-		}
-	}
-	stages.Place = time.Since(tp)
-
-	tg := time.Now()
-	art := &pipeline.Artifact{IR: f, Asm: af, Placed: placedFn, CascadeChains: chains,
-		SolverSteps: ps.SolverSteps, Place: ps, WarmStart: warmStart,
-		Degraded: degraded, DegradedReason: degradedReason}
-	outKey, raw, ok := m.memoLookup(ctx, parent, pipeline.StageOutput, func() string { return pipeline.OutputKeyFor(cfg, placedFn) })
-	if ok {
-		s := m.t.begin("stagecache.decode", parent)
-		var oe outputEntry
-		hit := json.Unmarshal(raw, &oe) == nil && oe.Verilog != ""
-		s.end()
-		if hit {
-			stages.Codegen = time.Since(tg)
-			art.CompileDur = time.Since(t0)
-			art.Verilog = oe.Verilog
-			art.LUTs, art.DSPs, art.FFs, art.Carries = oe.LUTs, oe.DSPs, oe.FFs, oe.Carries
-			art.CriticalNs, art.FMaxMHz, art.CriticalPath = oe.CriticalNs, oe.FMaxMHz, oe.CriticalPath
-			art.Stages = stages
-			art.StagesSkipped = skipped + 2
-			return art, nil
-		}
-	}
-	s := m.t.begin("codegen.generate", parent)
-	mod, st, err := codegen.Generate(placedFn, cfg.Target)
-	s.end()
-	if err != nil {
-		return nil, rerr.Wrap(rerr.Permanent, "codegen_failed", "code generation failed", err)
-	}
-	stages.Codegen = time.Since(tg)
-	art.CompileDur = time.Since(t0)
-	tt := time.Now()
-	s = m.t.begin("timing.analyze", parent)
-	rep, err := timing.Analyze(placedFn, cfg.Target, cfg.Device, timing.DefaultOptions())
-	s.end()
-	if err != nil {
-		return nil, rerr.Wrap(rerr.Permanent, "timing_failed", "timing analysis failed", err)
-	}
-	stages.Timing = time.Since(tt)
-	s = m.t.begin("verilog.render", parent)
-	art.Verilog = mod.String()
-	s.end()
-	parent.count("verilog.bytes", float64(len(art.Verilog)))
-	art.Module = mod
-	art.LUTs, art.DSPs, art.FFs, art.Carries = st.Luts, st.Dsps, st.FFs, st.Carries
-	art.CriticalNs, art.FMaxMHz, art.CriticalPath = rep.CriticalNs, rep.FMaxMHz, rep.Path
-	art.Stages = stages
-	art.StagesSkipped = skipped
-	if !degraded {
-		payload, _ := json.Marshal(outputEntry{Verilog: art.Verilog, LUTs: art.LUTs, DSPs: art.DSPs,
-			FFs: art.FFs, Carries: art.Carries, CriticalNs: art.CriticalNs, FMaxMHz: art.FMaxMHz,
-			CriticalPath: art.CriticalPath})
-		m.memoStore(ctx, parent, pipeline.StageOutput, outKey, payload)
-	}
-	return art, nil
-}
-
-func (m *mirror) explore(w http.ResponseWriter, op sp, req server.ExploreRequest) {
-	cfg, err := configFor(req.Family)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ps := m.t.begin("ir.parse", op)
-	f, err := ir.Parse(req.IR)
-	ps.end()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("parse: %v", err))
-		return
-	}
-	name := req.Name
-	if name == "" {
-		name = f.Name
-	}
-	maxVariants := req.MaxVariants
-	if maxVariants == 0 {
-		maxVariants = explore.DefaultMaxVariants
-	}
-	if maxVariants > explore.HardMaxVariants {
-		maxVariants = explore.HardMaxVariants
-	}
-	run := m.t.begin("explore.run", op)
-	run.container = true
-	var busy time.Duration
-	var busyMu sync.Mutex
-	res, err := explore.Run(context.Background(), cfg, f, explore.Options{
-		MaxVariants: maxVariants,
-		Jobs:        req.Jobs,
-		Compile: func(ctx context.Context, vcfg *pipeline.Config, v explore.Variant) (*pipeline.Artifact, bool, error) {
-			vs := m.t.begin("batch.variant", run)
-			vs.container = true
-			t0 := time.Now()
-			defer func() {
-				vs.end()
-				busyMu.Lock()
-				busy += time.Since(t0)
-				busyMu.Unlock()
-			}()
-			hs := m.t.begin("ir.canonical_hash", vs)
-			key := cache.KeyFor(vcfg, v.Func)
-			hs.end()
-			ls := m.t.begin("cache.lookup", vs)
-			ce, hit, err := m.lookupOrCompile(ctx, vs, ls, vcfg, v.Func, key)
-			if err != nil {
-				return nil, false, err
-			}
-			return ce.art, hit, nil
-		},
-	})
-	run.end()
-	if run.t != nil {
-		op.count("batch.busy_s", busy.Seconds())
-		op.count("batch.capacity_s", time.Since(run.start).Seconds()*float64(req.Jobs))
-	}
-	if err != nil {
-		writeWire(w, rerr.HTTPStatus(err), server.ErrorResponse{Error: rerr.Message(err),
-			Code: rerr.HTTPStatus(err), ErrorCode: rerr.CodeOf(err), Class: rerr.ClassOf(err).String()}, op)
-		return
-	}
-	op.count("explore.sweeps", 1)
-	op.count("explore.variants", float64(len(res.Variants)))
-	resp := server.ExploreResponse{Name: name, Family: req.Family, Partial: res.Partial,
-		Variants: make([]server.ExploreVariant, len(res.Variants)),
-		Frontier: make([]server.ExploreFrontierPoint, len(res.Frontier))}
-	var points []explore.Point
-	for i, vr := range res.Variants {
-		ev := server.ExploreVariant{ID: vr.ID, Desc: vr.Desc, OK: vr.Ok(), Degraded: vr.Degraded}
-		if vr.Ok() {
-			mj := metricsWire(vr.Metrics)
-			ev.Metrics = &mj
-			if !vr.Degraded {
-				points = append(points, explore.Point{ID: vr.ID, Objectives: vr.Metrics.Objectives()})
-			}
-		} else {
-			ev.Error, ev.ErrorCode = rerr.Message(vr.Err), rerr.CodeOf(vr.Err)
-		}
-		resp.Variants[i] = ev
-	}
-	for i, fp := range res.Frontier {
-		resp.Frontier[i] = server.ExploreFrontierPoint{ID: fp.ID, Metrics: metricsWire(fp.Metrics)}
-	}
-	st := res.Stats
-	resp.Stats = server.ExploreStatsJSON{Variants: st.Variants, Succeeded: st.Succeeded, Failed: st.Failed,
-		Degraded: st.Degraded, CacheHits: st.CacheHits, StagesSkipped: st.StagesSkipped,
-		Retried: st.Retried, WallNS: st.Wall.Nanoseconds(), VariantsPerSec: st.VariantsPerSec}
-	if op.t != nil {
-		m.mu.Lock()
-		if len(m.sweeps) < 256 {
-			m.sweeps = append(m.sweeps, sweepRecord{f: f, max: maxVariants, points: points})
-		}
-		m.mu.Unlock()
-	}
-	writeWire(w, http.StatusOK, resp, op)
-}
-
-func metricsWire(m explore.Metrics) server.ExploreMetrics {
-	return server.ExploreMetrics{CriticalNs: m.CriticalNs, FMaxMHz: m.FMaxMHz, Luts: m.Luts,
-		Dsps: m.Dsps, FFs: m.FFs, Carries: m.Carries}
-}
-
-// layerTotals sums each layer's self time (a span's duration minus the
-// part of it its child spans cover) and the mean share of each
-// request's wall time that layer spans cover.
-func layerTotals(spans []span) (self map[string]time.Duration, coverage float64, ops int) {
-	byParent := map[int64][]span{}
-	byOp := map[int64][]span{}
-	var roots []span
-	for _, s := range spans {
-		if s.parent == 0 {
-			roots = append(roots, s)
+	var enum, front time.Duration
+	for _, r := range t.sweeps {
+		t0 := time.Now()
+		if _, err := explore.Enumerate(r.f, r.max); err != nil {
 			continue
 		}
-		byParent[s.parent] = append(byParent[s.parent], s)
-		if !s.container {
-			byOp[s.op] = append(byOp[s.op], s)
-		}
+		enum += time.Since(t0)
+		t0 = time.Now()
+		explore.ParetoFrontier(r.points)
+		front += time.Since(t0)
 	}
-	self = map[string]time.Duration{}
-	for _, s := range spans {
-		if s.container {
-			continue
-		}
-		self[s.name] += s.end.Sub(s.start) - covered(byParent[s.id], s.start, s.end)
-	}
-	sum := 0.0
-	for _, r := range roots {
-		if d := r.end.Sub(r.start); d > 0 {
-			sum += float64(covered(byOp[r.id], r.start, r.end)) / float64(d)
-		}
-	}
-	if len(roots) > 0 {
-		coverage = sum / float64(len(roots))
-	}
-	return self, coverage, len(roots)
+	n := float64(len(t.sweeps))
+	return float64(enum.Nanoseconds()) / 1e6 / n, float64(front.Nanoseconds()) / 1e3 / n
 }
 
 // covered is the length of the union of the spans' intervals, clipped
 // to [lo, hi].
 func covered(ss []span, lo, hi time.Time) time.Duration {
-	if len(ss) == 0 {
-		return 0
-	}
 	iv := make([][2]time.Time, 0, len(ss))
 	for _, s := range ss {
 		a, b := s.start, s.end
@@ -709,20 +524,54 @@ func covered(ss []span, lo, hi time.Time) time.Duration {
 			iv = append(iv, [2]time.Time{a, b})
 		}
 	}
+	if len(iv) == 0 {
+		return 0
+	}
 	sort.Slice(iv, func(i, j int) bool { return iv[i][0].Before(iv[j][0]) })
 	var total time.Duration
-	var cur [2]time.Time
-	for i, x := range iv {
-		if i == 0 || x[0].After(cur[1]) {
-			if i > 0 {
-				total += cur[1].Sub(cur[0])
-			}
+	cur := iv[0]
+	for _, x := range iv[1:] {
+		if x[0].After(cur[1]) {
+			total += cur[1].Sub(cur[0])
 			cur = x
-			continue
-		}
-		if x[1].After(cur[1]) {
+		} else if x[1].After(cur[1]) {
 			cur[1] = x[1]
 		}
 	}
 	return total + cur[1].Sub(cur[0])
+}
+
+// writeSpans writes the recorded spans, one JSON object per line, with
+// times in nanoseconds from the first span's start.
+func writeSpans(path string, spans []span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	var base time.Time
+	for i, s := range spans {
+		if i == 0 || s.start.Before(base) {
+			base = s.start
+		}
+	}
+	enc := json.NewEncoder(bw)
+	for _, s := range spans {
+		if err := enc.Encode(struct {
+			ID     int64  `json:"id"`
+			Parent int64  `json:"parent"`
+			Op     int64  `json:"op"`
+			Name   string `json:"name"`
+			Start  int64  `json:"start_ns"`
+			End    int64  `json:"end_ns"`
+		}{s.id, s.parent, s.op, s.name, s.start.Sub(base).Nanoseconds(), s.end.Sub(base).Nanoseconds()}); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

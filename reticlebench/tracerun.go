@@ -1,24 +1,20 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
+	"runtime"
 	"sort"
 	"time"
-
-	"reticle/internal/asm"
-	"reticle/internal/explore"
-	"reticle/internal/place"
 )
 
-// runTraced is the layer-by-layer run. It first drives the real server
-// untraced for half the time, recording a digest of every reply, then
-// replays the same passes through the traced mirror and requires every
-// reply to match. It reports the per-layer metrics and the tracing
-// overhead: the mirror's request wall time over the server's.
+// runTraced is the layer-by-layer run. It alternates whole passes of
+// the workload on the default server, untraced, with the same passes on
+// traced servers (trace.go), so both see the same process state, until
+// the time is spent. Every traced reply must equal the untraced one. It
+// reports the per-layer metrics and the tracing overhead: the traced
+// requests' process CPU time over the untraced ones' (wall time, which
+// tracks host steal here, is printed beside it).
 func runTraced(name string, e *env, seconds float64, spanFile string) (result, error) {
 	w, err := newWorkload(name)
 	if err != nil {
@@ -27,41 +23,41 @@ func runTraced(name string, e *env, seconds float64, spanFile string) (result, e
 	if err := w.setup(e); err != nil {
 		return result{}, fmt.Errorf("setup: %w", err)
 	}
+	t := newTracer()
+	te := *e
+	te.newHandler = func() (http.Handler, error) { return t.newHandler() }
+	wt, _ := newWorkload(name)
+	if err := wt.setup(&te); err != nil {
+		return result{}, fmt.Errorf("traced setup: %w", err)
+	}
 	ref := &runner{digests: [][32]byte{}}
-	var n int
-	win, err := measure(func() error {
-		var perr error
-		n, perr = passes(w, ref, seconds/2, 0)
-		return perr
-	})
+	traced := &runner{digests: [][32]byte{}, after: t.finish}
+	if err := t.start(); err != nil {
+		return result{}, err
+	}
+	var win window // the untraced passes only
+	start := time.Now()
+	n := 0
+	for {
+		pw, err := measure(func() error { return w.pass(ref, n) })
+		if err != nil {
+			return failed(len(ref.ops)), err
+		}
+		win.add(pw)
+		runtime.GC()
+		if err := wt.pass(traced, n); err != nil {
+			return failed(len(ref.ops)), fmt.Errorf("traced run: %w", err)
+		}
+		runtime.GC()
+		n++
+		if (w.maxPasses() > 0 && n >= w.maxPasses()) || time.Since(start).Seconds() >= seconds {
+			break
+		}
+	}
+	d, err := t.stop()
 	if err != nil {
 		return failed(len(ref.ops)), err
 	}
-
-	t := newTracer()
-	var mirrors []*mirror
-	te := *e
-	te.newHandler = func() (http.Handler, error) {
-		m := newMirror(t)
-		mirrors = append(mirrors, m)
-		return m, nil
-	}
-	wt, _ := newWorkload(name)
-	if err := wt.setup(&te); err != nil {
-		return failed(len(ref.ops)), fmt.Errorf("traced setup: %w", err)
-	}
-	before := tierTotals(mirrors)
-	t.mu.Lock()
-	t.on = true
-	t.mu.Unlock()
-	traced := &runner{digests: [][32]byte{}}
-	if _, err := passes(wt, traced, 0, n); err != nil {
-		return failed(len(ref.ops)), fmt.Errorf("traced run: %w", err)
-	}
-	t.mu.Lock()
-	t.on = false
-	t.mu.Unlock()
-	after := tierTotals(mirrors)
 
 	if len(traced.digests) != len(ref.digests) {
 		return failed(len(ref.ops)), fmt.Errorf("traced run answered %d requests, untraced %d", len(traced.digests), len(ref.digests))
@@ -80,234 +76,76 @@ func runTraced(name string, e *env, seconds float64, spanFile string) (result, e
 		}
 	}
 
-	self, coverage, ops := layerTotals(t.spans)
-	var refWall, trWall time.Duration
+	var refWall, trWall, refCPU, trCPU time.Duration
 	for i := range ref.ops {
 		refWall += ref.ops[i].wall
 		trWall += traced.ops[i].wall
+		refCPU += ref.ops[i].cpu
+		trCPU += traced.ops[i].cpu
 	}
-	us := func(layer string) float64 { return perOp(float64(self[layer].Nanoseconds())/1e3, ops) }
-	msOf := func(layer string) float64 { return us(layer) / 1e3 }
+	overhead := ratio(trCPU.Seconds(), refCPU.Seconds())
+	ops := t.ops
+	us := func(layer string) float64 { return perOp(float64(t.self[layer].Nanoseconds())/1e3, ops) }
 	cnt := func(name string) float64 { return perOp(t.counts[name], ops) }
-	d := after.minus(before)
+	timingNS := float64(d.stages.TimingNS)
+	// The output-stage gap holds timing.Analyze too; the pipeline's own
+	// stage clock gives its share exactly.
+	codegenUS := perOp((float64(t.self["codegen.generate"].Nanoseconds())-timingNS)/1e3, ops)
 	sweeps := int(t.counts["explore.sweeps"])
-	enumMS, frontierUS := sweepTimings(mirrors)
-	probe := probeUnreached(mirrors)
-	// A layer this workload's requests never reach is timed per call on
-	// the workload's own artifacts instead (see probeUnreached).
-	reached := func(layer string, perOp float64, probed float64) float64 {
-		if self[layer] > 0 {
-			return perOp
-		}
-		return probed
-	}
-	if sweeps == 0 {
-		enumMS, frontierUS = probe.enumMS, probe.frontierUS
-	}
+	enumMS, frontierUS := t.sweepTimings()
 
 	fmt.Printf("workload=%s seed=%d passes=%d requests=%d spans=%d trace=1\n", name, e.seed, n, ops, len(t.spans))
-	fmt.Printf("noise (untraced half): wall_s=%.3f cpu_s=%.3f steal_s=%.2f gc_cycles=%d\n",
+	fmt.Printf("noise (untraced passes): wall_s=%.3f cpu_s=%.3f steal_s=%.2f gc_cycles=%d\n",
 		win.wall.Seconds(), win.cpu.Seconds(), win.steal, win.gcCycles)
-	fmt.Printf("faithfulness: %d traced replies byte-identical to the server's; overhead %.3fx request wall time\n",
-		len(ref.digests), ratio(trWall.Seconds(), refWall.Seconds()))
-	layers := make([]string, 0, len(self))
-	for l := range self {
+	fmt.Printf("faithfulness: %d traced replies byte-identical to the untraced server's; overhead %.3fx request CPU time, %.3fx wall time\n",
+		len(ref.digests), overhead, ratio(trWall.Seconds(), refWall.Seconds()))
+	layers := make([]string, 0, len(t.self))
+	for l := range t.self {
 		layers = append(layers, l)
 	}
 	sort.Strings(layers)
 	for _, l := range layers {
-		fmt.Printf("self %-22s %10.2f us/op\n", l, us(l))
+		fmt.Printf("span %-22s %10.2f us/op\n", l, us(l))
 	}
 
 	refOps := len(ref.ops)
 	metrics := map[string]metric{
-		"server.decode_us":        {us("server.decode"), "us"},
+		"server.front_us":         {us("server.front"), "us"},
 		"server.encode_us":        {us("server.encode"), "us"},
-		"cache.lookup_us":         {us("cache.lookup"), "us"},
-		"cache.hit_ratio":         {ratio(float64(d.artHits), float64(d.artHits+d.artMisses)), "ratio"},
-		"cache.evictions":         {perOp(float64(d.artEvictions), ops), "count/op"},
-		"ir.parse_us":             {us("ir.parse"), "us"},
-		"ir.canonical_hash_us":    {us("ir.canonical_hash"), "us"},
+		"cache.hit_ratio":         {ratio(float64(d.hits), float64(d.hits+d.misses)), "ratio"},
+		"cache.evictions":         {perOp(float64(d.evictions), ops), "count/op"},
 		"ir.structural_hash_us":   {us("ir.structural_hash"), "us"},
 		"hintcache.lookup_us":     {us("hintcache.lookup"), "us"},
 		"hintcache.adopt_ratio":   {ratio(t.counts["hintcache.adopted"], t.counts["hintcache.lookups"]), "ratio"},
 		"stagecache.lookup_us":    {us("stagecache.lookup"), "us"},
-		"stagecache.decode_us":    {reached("stagecache.decode", us("stagecache.decode"), probe.decodeUS), "us"},
-		"place.verify_us":         {reached("place.verify", us("place.verify"), probe.verifyUS), "us"},
-		"stagecache.hit_ratio":    {ratio(float64(d.stageHits), float64(d.stageHits+d.stageMisses)), "ratio"},
+		"stagecache.key_us":       {us("stagecache.key"), "us"},
+		"stagecache.decode_us":    {us("stagecache.decode"), "us"},
+		"place.verify_us":         {us("place.verify"), "us"},
+		"stagecache.hit_ratio":    {ratio(t.counts["stagecache.hits"], t.counts["stagecache.lookups"]), "ratio"},
 		"stagecache.store_us":     {us("stagecache.store"), "us"},
-		"stagecache.mb":           {perOp(float64(d.stageBytes)/(1<<20), ops), "MB/op"},
-		"isel.select_ms":          {msOf("isel.select"), "ms"},
+		"stagecache.mb":           {cnt("stagecache.bytes") / (1 << 20), "MB/op"},
+		"isel.select_ms":          {us("isel.select") / 1e3, "ms"},
 		"isel.asm_instrs":         {cnt("isel.asm_instrs"), "count/op"},
-		"cascade.apply_ms":        {msOf("cascade.apply"), "ms"},
+		"cascade.apply_ms":        {us("cascade.apply") / 1e3, "ms"},
 		"cascade.chains":          {cnt("cascade.chains"), "count/op"},
-		"place.place_ms":          {msOf("place.place"), "ms"},
-		"place.solver_steps":      {cnt("place.solver_steps"), "count/op"},
-		"place.shrink_probes":     {cnt("place.shrink_probes"), "count/op"},
-		"codegen.generate_ms":     {msOf("codegen.generate"), "ms"},
-		"verilog.render_ms":       {msOf("verilog.render"), "ms"},
+		"place.place_ms":          {us("place.place") / 1e3, "ms"},
+		"place.solver_steps":      {perOp(float64(d.steps), ops), "count/op"},
+		"place.shrink_probes":     {perOp(float64(d.probes), ops), "count/op"},
+		"codegen.generate_ms":     {codegenUS / 1e3, "ms"},
 		"verilog.kb":              {cnt("verilog.bytes") / 1024, "KB/op"},
-		"timing.analyze_ms":       {msOf("timing.analyze"), "ms"},
+		"timing.analyze_ms":       {perOp(timingNS/1e6, ops), "ms"},
 		"explore.enumerate_ms":    {enumMS, "ms"},
 		"explore.variants":        {perOp(t.counts["explore.variants"], sweeps), "count/op"},
 		"explore.frontier_us":     {frontierUS, "us"},
-		"batch.worker_busy_ratio": {ratio(t.counts["batch.busy_s"], t.counts["batch.capacity_s"]), "ratio"},
+		"batch.worker_busy_ratio": {ratio(float64(d.stageNS()), t.counts["explore.wall_ns"]), "ratio"},
 		"gc.alloc_mb_per_op":      {perOp(win.allocMB, refOps), "MB"},
 		"gc.cycles_per_op":        {perOp(float64(win.gcCycles), refOps), "count/op"},
-		"trace.coverage_ratio":    {coverage, "ratio"},
-		"trace.overhead_ratio":    {ratio(trWall.Seconds(), refWall.Seconds()), "ratio"},
+		"trace.coverage_ratio":    {perOp(t.cover, ops), "ratio"},
+		"trace.overhead_ratio":    {overhead, "ratio"},
 	}
 	attempted, failedOps := refOps, 0
 	if va, vf := wt.variants(); va > 0 {
 		attempted, failedOps = va, vf
 	}
 	return result{Correct: true, Attempted: attempted, Failed: failedOps, Metrics: metrics}, nil
-}
-
-// tiers sums the cache-tier counters of every mirror.
-type tiers struct {
-	artHits, artMisses, artEvictions uint64
-	stageHits, stageMisses           uint64
-	stageBytes                       int64
-}
-
-func tierTotals(ms []*mirror) tiers {
-	var t tiers
-	for _, m := range ms {
-		cs := m.arts.Stats()
-		t.artHits += cs.Hits
-		t.artMisses += cs.Misses
-		t.artEvictions += cs.Evictions
-		ss := m.stages.Stats()
-		for _, st := range []struct {
-			h, m uint64
-			b    int64
-		}{{ss.Select.Hits, ss.Select.Misses, ss.Select.Bytes}, {ss.Cascade.Hits, ss.Cascade.Misses, ss.Cascade.Bytes},
-			{ss.Place.Hits, ss.Place.Misses, ss.Place.Bytes}, {ss.Output.Hits, ss.Output.Misses, ss.Output.Bytes}} {
-			t.stageHits += st.h
-			t.stageMisses += st.m
-			t.stageBytes += st.b
-		}
-	}
-	return t
-}
-
-func (a tiers) minus(b tiers) tiers {
-	return tiers{
-		artHits: a.artHits - b.artHits, artMisses: a.artMisses - b.artMisses,
-		artEvictions: a.artEvictions - b.artEvictions,
-		stageHits:    a.stageHits - b.stageHits, stageMisses: a.stageMisses - b.stageMisses,
-		stageBytes: a.stageBytes - b.stageBytes,
-	}
-}
-
-// sweepTimings times the two explore layers explore.Run calls
-// internally, which no seam reaches from outside: the variant
-// enumeration and the frontier archive. It calls each on the recorded
-// sweeps after the traced passes, outside any request's wall time.
-func sweepTimings(ms []*mirror) (enumMS, frontierUS float64) {
-	var recs []sweepRecord
-	for _, m := range ms {
-		recs = append(recs, m.sweeps...)
-	}
-	if len(recs) == 0 {
-		return 0, 0
-	}
-	var enum, front time.Duration
-	for _, r := range recs {
-		t0 := time.Now()
-		if _, err := explore.Enumerate(r.f, r.max); err != nil {
-			continue
-		}
-		enum += time.Since(t0)
-		t0 = time.Now()
-		explore.ParetoFrontier(r.points)
-		front += time.Since(t0)
-	}
-	n := float64(len(recs))
-	return float64(enum.Nanoseconds()) / 1e6 / n, float64(front.Nanoseconds()) / 1e3 / n
-}
-
-// probes are per-call timings of the layers that only stage-memo hits
-// and explore sweeps reach, taken outside any request on the artifacts
-// the traced passes compiled: decoding a placed program as a memo hit
-// would (asm.Parse), revalidating it (place.Verify), enumerating the
-// kernel's variants, and one frontier over the artifacts' objectives.
-// A workload whose requests never reach a layer reports these, so the
-// figure is measured rather than a constant zero.
-type probes struct {
-	decodeUS, verifyUS, enumMS, frontierUS float64
-}
-
-func probeUnreached(ms []*mirror) probes {
-	var recs []builtRecord
-	for _, m := range ms {
-		recs = append(recs, m.built...)
-	}
-	if len(recs) == 0 {
-		return probes{}
-	}
-	var decode, verify, enum time.Duration
-	var points []explore.Point
-	for i, r := range recs {
-		text := r.art.Placed.String()
-		t0 := time.Now()
-		placed, err := asm.Parse(text)
-		decode += time.Since(t0)
-		if err == nil {
-			t0 = time.Now()
-			_ = place.Verify(r.art.Asm, placed, r.cfg.Device)
-			verify += time.Since(t0)
-		}
-		t0 = time.Now()
-		_, _ = explore.Enumerate(r.art.IR, explore.DefaultMaxVariants)
-		enum += time.Since(t0)
-		points = append(points, explore.Point{ID: fmt.Sprint(i), Objectives: []float64{
-			r.art.CriticalNs, float64(r.art.LUTs), float64(r.art.Carries), float64(r.art.DSPs)}})
-	}
-	t0 := time.Now()
-	explore.ParetoFrontier(points)
-	front := time.Since(t0)
-	n := float64(len(recs))
-	return probes{
-		decodeUS:   float64(decode.Nanoseconds()) / 1e3 / n,
-		verifyUS:   float64(verify.Nanoseconds()) / 1e3 / n,
-		enumMS:     float64(enum.Nanoseconds()) / 1e6 / n,
-		frontierUS: float64(front.Nanoseconds()) / 1e3,
-	}
-}
-
-// writeSpans writes the recorded spans, one JSON object per line, with
-// times in nanoseconds from the first span's start.
-func writeSpans(path string, spans []span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	var base time.Time
-	for i, s := range spans {
-		if i == 0 || s.start.Before(base) {
-			base = s.start
-		}
-	}
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		if err := enc.Encode(struct {
-			ID     int64  `json:"id"`
-			Parent int64  `json:"parent"`
-			Op     int64  `json:"op"`
-			Name   string `json:"name"`
-			Start  int64  `json:"start_ns"`
-			End    int64  `json:"end_ns"`
-		}{s.id, s.parent, s.op, s.name, s.start.Sub(base).Nanoseconds(), s.end.Sub(base).Nanoseconds()}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -88,7 +88,7 @@ func (w *coldCompile) setup(e *env) error {
 func (w *coldCompile) maxPasses() int { return 0 }
 
 func (w *coldCompile) pass(r *runner, i int) error {
-	h, err := freshHandler(w.e, w.h0, i)
+	h, err := freshHandler(w.e, &w.h0, i)
 	if err != nil {
 		return err
 	}
@@ -118,13 +118,16 @@ func (w *coldCompile) pass(r *runner, i int) error {
 }
 
 // freshHandler returns the server for pass i: the one set-up built for
-// pass 0, a new one after. The previous pass's server is garbage by
-// then; it is collected before the new one starts, outside any timed
-// request, so no pass pays for its predecessor's heap and the peak RSS
-// does not depend on how many passes ran.
-func freshHandler(e *env, h0 http.Handler, i int) (http.Handler, error) {
+// pass 0, handed over once and then dropped by the workload, and a new
+// one after. The previous pass's server is then garbage; it is
+// collected before the new one starts, outside any timed request, so no
+// pass pays for its predecessor's heap, only one pass's server is live
+// at a time, and the peak RSS does not depend on how many passes ran.
+func freshHandler(e *env, h0 *http.Handler, i int) (http.Handler, error) {
 	if i == 0 {
-		return h0, nil
+		h := *h0
+		*h0 = nil
+		return h, nil
 	}
 	runtime.GC()
 	return e.newHandler()
@@ -351,7 +354,7 @@ func (w *exploreSweep) setup(e *env) error {
 func (w *exploreSweep) maxPasses() int { return 0 }
 
 func (w *exploreSweep) pass(r *runner, i int) error {
-	h, err := freshHandler(w.e, w.h0, i)
+	h, err := freshHandler(w.e, &w.h0, i)
 	if err != nil {
 		return err
 	}
